@@ -11,6 +11,9 @@
 #define SMS_BVH_BINARY_BVH_HPP
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "src/geometry/aabb.hpp"
@@ -18,12 +21,21 @@
 
 namespace sms {
 
+/** Largest BvhBuildParams::sah_bins: the builder bins into fixed arrays. */
+constexpr int kMaxSahBins = 64;
+
+/** Largest BvhBuildParams::max_leaf_prims: a ChildRef counts 6 bits. */
+constexpr int kMaxLeafPrims = 63;
+
 /** Build parameters for the binary SAH builder. */
 struct BvhBuildParams
 {
-    /** Number of SAH bins per axis. */
+    /** Number of SAH bins per axis (2..kMaxSahBins). */
     int sah_bins = 16;
-    /** Maximum primitives per leaf (small leaves match driver BVHs). */
+    /**
+     * Maximum primitives per leaf (1..kMaxLeafPrims; small leaves match
+     * driver BVHs). SAH early termination may still keep up to 8.
+     */
     int max_leaf_prims = 2;
     /** Relative cost of a primitive test vs. a node test. */
     float prim_cost = 1.0f;
@@ -51,18 +63,32 @@ struct BinaryNode
     bool isLeaf() const { return prim_count > 0; }
 };
 
-/** Binary BVH over a scene's unified primitive ids. */
+/**
+ * Binary BVH over a scene's unified primitive ids.
+ *
+ * Nodes are stored in preorder (a node's left child directly follows
+ * it), and leaves cover the primitive-index array left to right.
+ */
 class BinaryBvh
 {
   public:
-    /** Build over all primitives of @p scene. */
+    /**
+     * Build over all primitives of @p scene on up to @p threads threads
+     * (0: defaultThreadCount()). The tree is the same for every thread
+     * count. Exits via fatal() when @p params is out of range.
+     */
     static BinaryBvh build(const Scene &scene,
-                           const BvhBuildParams &params = {});
+                           const BvhBuildParams &params = {},
+                           unsigned threads = 0);
 
-    const std::vector<BinaryNode> &nodes() const { return nodes_; }
+    std::span<const BinaryNode>
+    nodes() const
+    {
+        return {nodes_.get(), node_count_};
+    }
     const std::vector<uint32_t> &primIndices() const { return prim_indices_; }
     uint32_t rootIndex() const { return 0; }
-    bool empty() const { return nodes_.empty(); }
+    bool empty() const { return node_count_ == 0; }
 
     /** Maximum leaf depth (root = 0). */
     uint32_t depth() const;
@@ -71,8 +97,19 @@ class BinaryBvh
     double sahCost(const BvhBuildParams &params = {}) const;
 
   private:
-    friend class BinaryBuilder;
-    std::vector<BinaryNode> nodes_;
+    /** Frees node storage taken uninitialized from operator new. */
+    struct NodeDeleter
+    {
+        void operator()(BinaryNode *nodes) const { ::operator delete(nodes); }
+    };
+
+    /**
+     * Room for the 2n-1 nodes n primitives make at most, left
+     * uninitialized so untouched pages cost no memory; the first
+     * node_count_ hold the tree.
+     */
+    std::unique_ptr<BinaryNode, NodeDeleter> nodes_;
+    uint32_t node_count_ = 0;
     std::vector<uint32_t> prim_indices_;
 };
 

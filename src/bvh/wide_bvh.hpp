@@ -117,9 +117,14 @@ class WideBvh
     static constexpr uint64_t kTriBytes = 48;
     static constexpr uint64_t kSphereBytes = 32;
 
-    /** Collapse a binary BVH into wide form (params.wide_width). */
+    /**
+     * Build a binary BVH on up to @p threads threads (0:
+     * defaultThreadCount()) and collapse it into wide form
+     * (params.wide_width). The bytes do not depend on @p threads.
+     */
     static WideBvh build(const Scene &scene,
-                         const BvhBuildParams &params = {});
+                         const BvhBuildParams &params = {},
+                         unsigned threads = 0);
 
     /** Collapse an already-built binary BVH (shares prim order). */
     static WideBvh fromBinary(const Scene &scene, const BinaryBvh &binary,

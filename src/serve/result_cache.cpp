@@ -397,7 +397,7 @@ loadCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
         return false;
     };
 
-    std::string body;
+    std::string_view body;
     if (!openCacheEnvelope(kMagic, data, body))
         return invalid("bad magic or checksum");
 
@@ -438,7 +438,7 @@ storeCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    CacheWriter w(kMagic);
     w.u32(kResultCacheVersion);
     w.u64(resultSchemaHash());
     w.u8(static_cast<uint8_t>(id));
@@ -448,10 +448,9 @@ storeCachedResult(const std::string &dir, SceneId id, ScaleProfile profile,
     w.f64(sim_wall_seconds);
     writeSimResult(w, result);
 
-    std::string data = sealCacheEnvelope(kMagic, w.buffer());
     std::string path =
         resultCachePath(dir, id, profile, fingerprint, digest);
-    if (!writeFileAtomic(path, data)) {
+    if (!writeFileAtomic(path, w.seal())) {
         warn("result-cache entry %s not written: %s", path.c_str(),
              std::strerror(errno));
         return false;

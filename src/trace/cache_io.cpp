@@ -6,6 +6,7 @@
 
 #include "src/trace/cache_io.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -25,19 +26,22 @@ fnv1a(const void *data, size_t n, uint64_t h)
     return h;
 }
 
-std::string
-sealCacheEnvelope(const char magic[8], const std::string &body)
+void
+CacheWriter::grow(size_t n)
 {
-    std::string data(magic, 8);
-    data += body;
-    uint64_t sum = fnv1a(data.data(), data.size());
-    data.append(reinterpret_cast<const char *>(&sum), 8);
-    return data;
+    size_t capacity = std::max({2 * capacity_, size_ + n, size_t{256}});
+    // new char[] leaves the bytes uninitialized: pages are touched only
+    // as they are written.
+    std::unique_ptr<char[]> buf(new char[capacity]);
+    if (size_)
+        std::memcpy(buf.get(), buf_.get(), size_);
+    buf_ = std::move(buf);
+    capacity_ = capacity;
 }
 
 bool
 openCacheEnvelope(const char magic[8], const std::string &data,
-                  std::string &body)
+                  std::string_view &body)
 {
     if (data.size() < 16 || std::memcmp(data.data(), magic, 8) != 0)
         return false;
@@ -45,12 +49,12 @@ openCacheEnvelope(const char magic[8], const std::string &data,
     std::memcpy(&stored_sum, data.data() + data.size() - 8, 8);
     if (fnv1a(data.data(), data.size() - 8) != stored_sum)
         return false;
-    body = data.substr(8, data.size() - 16);
+    body = std::string_view(data).substr(8, data.size() - 16);
     return true;
 }
 
 bool
-writeFileAtomic(const std::string &path, const std::string &data)
+writeFileAtomic(const std::string &path, std::string_view data)
 {
     // The pid alone is not unique enough: two threads of one process
     // saving the same cache path would share a temp file and interleave

@@ -10,6 +10,10 @@
  * trailing FNV-1a checksum of everything before it. Floats serialize as
  * IEEE-754 bit patterns, so reloads are bit-exact.
  *
+ * Sealing and opening work in place: a writer starts with the magic
+ * and seal() appends the checksum to its own buffer, and a reader reads
+ * the body as a view into the file bytes, so no payload is copied.
+ *
  * Files are written via writeFileAtomic(): the payload lands in a
  * uniquely named temporary file in the target directory and is
  * rename()d into place, so concurrent writers — racing worker
@@ -25,7 +29,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/geometry/vec3.hpp"
@@ -37,14 +43,23 @@ namespace sms {
 uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 0xcbf29ce484222325ull);
 
-/** Append-only little-endian serializer. */
+/**
+ * Append-only little-endian serializer. The buffer grows uninitialized,
+ * so capacity it never fills costs no memory.
+ */
 class CacheWriter
 {
   public:
+    /** A bare writer, for hashing serialized fields. */
+    CacheWriter() = default;
+
+    /** A cache file: the envelope's 8-byte @p magic comes first. */
+    explicit CacheWriter(const char magic[8]) { raw(magic, 8); }
+
     void
     u8(uint8_t v)
     {
-        out_.push_back(static_cast<char>(v));
+        raw(&v, sizeof v);
     }
 
     void
@@ -96,30 +111,61 @@ class CacheWriter
         f32(v.z);
     }
 
+    /** A length-prefixed byte run. */
     void
-    str(const std::string &s)
+    str(std::string_view s)
     {
         u64(s.size());
-        out_.append(s);
+        raw(s.data(), s.size());
     }
 
-    const std::string &buffer() const { return out_; }
+    std::string_view buffer() const { return {buf_.get(), size_}; }
+
+    /** Make room for @p n more bytes up front (e.g. an upper bound). */
+    void
+    reserve(size_t n)
+    {
+        if (n > capacity_ - size_)
+            grow(n);
+    }
+
+    /**
+     * Close the envelope: append the FNV-1a checksum of everything
+     * written so far. @return the finished file bytes.
+     */
+    std::string_view
+    seal()
+    {
+        u64(fnv1a(buf_.get(), size_));
+        return buffer();
+    }
 
   private:
     void
     raw(const void *p, size_t n)
     {
-        out_.append(static_cast<const char *>(p), n);
+        if (n > capacity_ - size_)
+            grow(n);
+        std::memcpy(buf_.get() + size_, p, n);
+        size_ += n;
     }
 
-    std::string out_;
+    /** Reallocate with room for at least @p n more bytes. */
+    void grow(size_t n);
+
+    std::unique_ptr<char[]> buf_;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
 };
 
-/** Bounds-checked reader; any overrun flags failure and returns zeros. */
+/**
+ * Bounds-checked reader over a view of bytes it does not own; any
+ * overrun flags failure and returns zeros.
+ */
 class CacheReader
 {
   public:
-    explicit CacheReader(const std::string &data) : data_(data) {}
+    explicit CacheReader(std::string_view data) : data_(data) {}
 
     bool ok() const { return ok_; }
     size_t offset() const { return off_; }
@@ -192,15 +238,18 @@ class CacheReader
         return v;
     }
 
-    std::string
-    str()
+    std::string str() { return std::string(bytes()); }
+
+    /** A length-prefixed byte run, as a view into the data. */
+    std::string_view
+    bytes()
     {
         uint64_t n = u64();
         if (!ok_ || n > data_.size() - off_) {
             ok_ = false;
             return {};
         }
-        std::string s = data_.substr(off_, n);
+        std::string_view s = data_.substr(off_, n);
         off_ += n;
         return s;
     }
@@ -217,24 +266,18 @@ class CacheReader
         off_ += n;
     }
 
-    const std::string &data_;
+    std::string_view data_;
     size_t off_ = 0;
     bool ok_ = true;
 };
 
 /**
- * Wrap a serialized body in the standard cache envelope:
- * @p magic (8 bytes) + body + FNV-1a checksum of everything before it.
- */
-std::string sealCacheEnvelope(const char magic[8],
-                              const std::string &body);
-
-/**
  * Validate the envelope of @p data against @p magic and the trailing
- * checksum; on success @p body receives the payload between them.
+ * checksum; on success @p body views the payload between them (valid
+ * while @p data is).
  */
 bool openCacheEnvelope(const char magic[8], const std::string &data,
-                       std::string &body);
+                       std::string_view &body);
 
 /**
  * Write @p data to @p path through a uniquely named temp file in the
@@ -243,7 +286,7 @@ bool openCacheEnvelope(const char magic[8], const std::string &data,
  * (which share a pid) get distinct temp files too — the historical
  * pid-only suffix let them interleave writes to the same temp path.
  */
-bool writeFileAtomic(const std::string &path, const std::string &data);
+bool writeFileAtomic(const std::string &path, std::string_view data);
 
 /** Slurp @p path into @p out. @return false when unreadable. */
 bool readFile(const std::string &path, std::string &out);

@@ -330,6 +330,25 @@ readRender(CacheReader &r, std::unique_ptr<RenderOutput> &out)
     return readJobs(r, out->jobs) && r.ok();
 }
 
+/**
+ * An upper bound of a snapshot's size (every warp lane counted active),
+ * reserved up front so the writer never regrows and copies the payload.
+ */
+size_t
+snapshotBytesBound(const Workload &w)
+{
+    const size_t fixed = 256 + w.scene.name.size(); // 187 B of fields
+    const size_t scene = w.scene.materials().size() * 28 +
+                         size_t{w.scene.triangleCount()} * 38 +
+                         size_t{w.scene.sphereCount()} * 18;
+    const size_t bvh = w.bvh.nodes().size() * (kWideBvhWidth * 28 + 1) +
+                       w.bvh.primIndices().size() * 4;
+    const size_t film =
+        size_t{w.render.film.width()} * w.render.film.height() * 12;
+    const size_t jobs = w.render.jobs.size() * (17 + kWarpSize * 54);
+    return fixed + scene + bvh + film + jobs;
+}
+
 /** Hash identifying the render params + build schema in the filename. */
 uint64_t
 keyHash(const RenderParams &params)
@@ -401,7 +420,7 @@ loadWorkloadSnapshot(const std::string &dir, SceneId id,
         return nullptr;
     };
 
-    std::string body;
+    std::string_view body;
     if (!openCacheEnvelope(kMagic, data, body))
         return invalid("bad magic or checksum");
 
@@ -444,7 +463,8 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    CacheWriter w(kMagic);
+    w.reserve(snapshotBytesBound(workload));
     w.u32(kWorkloadSnapshotVersion);
     w.u64(buildSchemaHash());
     w.u8(static_cast<uint8_t>(workload.id));
@@ -454,10 +474,9 @@ saveWorkloadSnapshot(const std::string &dir, const Workload &workload,
     writeBvh(w, workload.bvh);
     writeRender(w, workload.render);
 
-    std::string data = sealCacheEnvelope(kMagic, w.buffer());
     std::string path = workloadSnapshotPath(dir, workload.id, profile,
                                             params);
-    if (!writeFileAtomic(path, data)) {
+    if (!writeFileAtomic(path, w.seal())) {
         warn("workload snapshot %s not written: %s", path.c_str(),
              std::strerror(errno));
         return false;
@@ -545,7 +564,7 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
         return false;
     };
 
-    std::string body;
+    std::string_view body;
     if (!openCacheEnvelope(kTapeMagic, data, body))
         return invalid("bad magic or checksum");
 
@@ -570,7 +589,7 @@ loadTraversalTape(const std::string &dir, const Workload &workload,
         JobTape &job = tape.jobs[j];
         job.steps = r.u32();
         job.mismatches = r.u32();
-        std::string raw = r.str(); // bounds-checked via r.ok()
+        std::string_view raw = r.bytes(); // bounds-checked via r.ok()
         job.bytes.assign(raw.begin(), raw.end());
     }
     if (!r.ok() || r.offset() != body.size())
@@ -599,21 +618,23 @@ saveTraversalTape(const std::string &dir, const Workload &workload,
              dir.c_str());
         return false;
     }
-    CacheWriter w;
+    CacheWriter w(kTapeMagic);
+    w.reserve(28 + tape.jobs.size() * 16 + tape.totalBytes());
     w.u32(kTraversalTapeVersion);
     w.u64(tape.fingerprint);
     w.u64(tape.jobs.size());
     for (const JobTape &job : tape.jobs) {
         w.u32(job.steps);
         w.u32(job.mismatches);
-        w.str(std::string(job.bytes.begin(), job.bytes.end()));
+        w.str(std::string_view(
+            reinterpret_cast<const char *>(job.bytes.data()),
+            job.bytes.size()));
     }
 
-    std::string data = sealCacheEnvelope(kTapeMagic, w.buffer());
     std::string path = traversalTapePath(dir, workload.id,
                                          workload.profile,
                                          workload.params, variant);
-    if (!writeFileAtomic(path, data)) {
+    if (!writeFileAtomic(path, w.seal())) {
         warn("traversal tape %s not written: %s", path.c_str(),
              std::strerror(errno));
         return false;

@@ -7,6 +7,9 @@
  * index, keeping output ordering deterministic regardless of thread
  * interleaving.
  *
+ * Worker threads count against a process-wide busy-thread budget that
+ * nested parallel work claims helpers from (tryClaimHelperThread()).
+ *
  * Exceptions thrown by @p fn on a worker thread are captured (first one
  * wins), remaining iterations are abandoned, and the exception is
  * rethrown on the calling thread after all workers joined — a worker
@@ -98,7 +101,49 @@ struct ParallelRegionScope
             hook(threads, n);
     }
 };
+
+/** Threads running parallel work: parallelFor workers plus helpers. */
+inline std::atomic<unsigned> g_busy_threads{0};
+
+/** Counts the current thread as busy for its lifetime. */
+struct BusyThreadScope
+{
+    BusyThreadScope()
+    {
+        g_busy_threads.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~BusyThreadScope()
+    {
+        g_busy_threads.fetch_sub(1, std::memory_order_relaxed);
+    }
+};
 } // namespace detail
+
+/**
+ * Claim a slot for one helper thread of nested parallel work (a task
+ * inside a parallelFor iteration, say). The claim succeeds only while
+ * fewer than @p threads threads run parallel work process-wide, so
+ * helpers fill cores that parallelFor workers have left idle instead of
+ * oversubscribing busy ones. Release with releaseHelperThread().
+ */
+inline bool
+tryClaimHelperThread(unsigned threads)
+{
+    unsigned busy = detail::g_busy_threads.load(std::memory_order_relaxed);
+    while (busy < threads) {
+        if (detail::g_busy_threads.compare_exchange_weak(
+                busy, busy + 1, std::memory_order_relaxed))
+            return true;
+    }
+    return false;
+}
+
+/** Give back a slot taken by tryClaimHelperThread(). */
+inline void
+releaseHelperThread()
+{
+    detail::g_busy_threads.fetch_sub(1, std::memory_order_relaxed);
+}
 
 /**
  * Run fn(i) for i in [0, n) across up to @p threads workers.
@@ -143,6 +188,7 @@ parallelFor(size_t n, const std::function<void(size_t)> &fn,
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
         workers.emplace_back([&]() {
+            detail::BusyThreadScope busy;
             for (;;) {
                 if (failed.load(std::memory_order_relaxed))
                     return;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Structural and behavioural tests of the BVH substrate: binary SAH
- * builder invariants, wide collapse, ChildRef encoding, and traversal
- * correctness against the brute-force oracle.
+ * builder invariants and parameter checks, pinned BVH bytes for every
+ * scene at any thread count, wide collapse, ChildRef encoding, and
+ * traversal correctness against the brute-force oracle.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "src/bvh/traverse.hpp"
 #include "src/bvh/wide_bvh.hpp"
 #include "src/scene/registry.hpp"
+#include "src/trace/cache_io.hpp"
 #include "src/util/rng.hpp"
 
 namespace sms {
@@ -174,6 +176,143 @@ TEST(BinaryBvh, SahCostPositiveAndDepthSane)
     EXPECT_GT(bvh.sahCost(), 0.0);
     EXPECT_GE(bvh.depth(), 5u);
     EXPECT_LE(bvh.depth(), 64u);
+}
+
+// Out-of-range parameters stop the build at entry. sah_bins = 0 used
+// to reach std::clamp(b, 0, -1); an oversized leaf used to surface only
+// at the collapse's ChildRef assert.
+void
+expectRejected(int sah_bins, int max_leaf_prims, const char *message)
+{
+    Scene scene = randomTriangleSoup(100, 5);
+    BvhBuildParams params;
+    params.sah_bins = sah_bins;
+    params.max_leaf_prims = max_leaf_prims;
+    EXPECT_EXIT(BinaryBvh::build(scene, params),
+                ::testing::ExitedWithCode(1), message);
+}
+
+TEST(BinaryBvh, RejectsZeroSahBins) { expectRejected(0, 2, "sah_bins"); }
+
+TEST(BinaryBvh, RejectsOneSahBin) { expectRejected(1, 2, "sah_bins"); }
+
+TEST(BinaryBvh, RejectsNegativeSahBins)
+{
+    expectRejected(-4, 2, "sah_bins");
+}
+
+TEST(BinaryBvh, RejectsSahBinsPastStackArrays)
+{
+    expectRejected(kMaxSahBins + 1, 2, "sah_bins");
+}
+
+TEST(BinaryBvh, RejectsZeroMaxLeafPrims)
+{
+    expectRejected(16, 0, "max_leaf_prims");
+}
+
+TEST(BinaryBvh, RejectsMaxLeafPrimsPastChildRefField)
+{
+    expectRejected(16, kMaxLeafPrims + 1, "max_leaf_prims");
+}
+
+TEST(BinaryBvh, AcceptsBoundaryParams)
+{
+    Scene scene = randomTriangleSoup(300, 6);
+    for (auto [bins, leaf] : {std::pair{2, 1}, std::pair{kMaxSahBins, 2},
+                              std::pair{16, kMaxLeafPrims}}) {
+        BvhBuildParams params;
+        params.sah_bins = bins;
+        params.max_leaf_prims = leaf;
+        WideBvh wide = WideBvh::build(scene, params);
+        EXPECT_EQ(wide.primIndices().size(), scene.primitiveCount());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pinned BVH bytes
+// ---------------------------------------------------------------------
+
+/**
+ * FNV-1a of a wide BVH in the snapshot's layout: root ref, node count,
+ * per node six (lo, hi, child ref) slots and the child count, then the
+ * prim-index count and indices.
+ */
+uint64_t
+bvhDigest(const WideBvh &bvh)
+{
+    uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
+    auto put = [&h](const auto &v) { h = fnv1a(&v, sizeof v, h); };
+    put(bvh.rootRef().bits());
+    put(uint64_t{bvh.nodes().size()});
+    for (const WideNode &node : bvh.nodes()) {
+        for (int c = 0; c < kWideBvhWidth; ++c) {
+            for (const Vec3 &v :
+                 {node.child_bounds[c].lo, node.child_bounds[c].hi}) {
+                put(v.x);
+                put(v.y);
+                put(v.z);
+            }
+            put(node.children[c].bits());
+        }
+        put(node.child_count);
+    }
+    put(uint64_t{bvh.primIndices().size()});
+    for (uint32_t index : bvh.primIndices())
+        put(index);
+    return h;
+}
+
+struct PinnedBvh
+{
+    SceneId scene;
+    uint64_t tiny;
+    uint64_t small;
+};
+
+// Every build must reproduce these bytes, whatever its thread count.
+constexpr PinnedBvh kPinnedBvhs[] = {
+    {SceneId::WKND, 0xf1f6c84d2cd730d5ull, 0xe40783e110286adeull},
+    {SceneId::SPRNG, 0xcf0b02816476d46bull, 0x10570cb1b3186414ull},
+    {SceneId::FOX, 0x887d65702c2b8bfeull, 0xa260915f3ae1c728ull},
+    {SceneId::LANDS, 0x13acbec70724f352ull, 0x6662cb8fe6bf820full},
+    {SceneId::CRNVL, 0x0b43fe12a9792c50ull, 0x309a2d984d06268cull},
+    {SceneId::SPNZA, 0xa047372807359d93ull, 0x454ec70693ee8189ull},
+    {SceneId::BATH, 0xbd67f08781e9578dull, 0x552577dc5c2cde96ull},
+    {SceneId::ROBOT, 0x012777a1c305d579ull, 0xe65cff7fa9fe3a0dull},
+    {SceneId::CAR, 0x307b73f6bc6a4510ull, 0xc1e558d2910dc3fdull},
+    {SceneId::PARTY, 0x41649de799bcddf2ull, 0x16986928a0d6dde0ull},
+    {SceneId::FRST, 0x4089833aa987c882ull, 0x3c23d8ca643ac035ull},
+    {SceneId::BUNNY, 0xcf24ea5940ab82f8ull, 0x3fd29069759cb0a5ull},
+    {SceneId::SHIP, 0x263457ecc38112f1ull, 0x6aa9cea4e74e1c65ull},
+    {SceneId::REF, 0x403e6e2b09780818ull, 0xc0998a558b5cd2f3ull},
+    {SceneId::CHSNT, 0xb8bf17b5ad12cd95ull, 0xefa9d85988aa3817ull},
+    {SceneId::PARK, 0xe65b51e48c986773ull, 0x3c97890d1c49ac7eull},
+};
+
+TEST(BvhBytes, TinyScenesMatchPinnedDigests)
+{
+    ASSERT_EQ(std::size(kPinnedBvhs), allScenes().size());
+    for (const PinnedBvh &pin : kPinnedBvhs) {
+        Scene scene = makeScene(pin.scene, ScaleProfile::Tiny);
+        EXPECT_EQ(bvhDigest(WideBvh::build(scene)), pin.tiny)
+            << sceneName(pin.scene);
+    }
+}
+
+TEST(BvhBytes, SmallScenesMatchPinnedDigestsOnOneAndFourThreads)
+{
+    // Small scenes span 2.4 K to 611 K primitives, so most of them are
+    // big enough for the builder to hand subtrees to helper threads;
+    // the bytes must not depend on whether it did.
+    for (const PinnedBvh &pin : kPinnedBvhs) {
+        Scene scene = makeScene(pin.scene, ScaleProfile::Small);
+        for (unsigned threads : {1u, 4u})
+            EXPECT_EQ(bvhDigest(WideBvh::build(scene, {}, threads)),
+                      pin.small)
+                << sceneName(pin.scene) << " on " << threads
+                << " threads";
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "src/serve/result_cache.hpp"
 #include "src/sim/gpu_sim.hpp"
 #include "src/stats/report.hpp"
+#include "src/trace/cache_io.hpp"
 #include "src/trace/render.hpp"
 #include "src/sim/traversal_tape.hpp"
 
@@ -117,6 +118,30 @@ TEST(ResultCache, RoundTripIsBitExact)
     EXPECT_EQ(stats.stores, 1u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.failures, 0u);
+}
+
+TEST(ResultCache, FileBytesArePinned)
+{
+    // A Tiny BUNNY entry, byte for byte. The wall time is fixed so the
+    // bytes are reproducible.
+    TempCacheDir dir;
+    auto workload = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    ASSERT_NE(workload, nullptr);
+    GpuConfig config = makeGpuConfig(StackConfig::sms());
+    SimResult result = runWorkload(*workload, config);
+    uint64_t fingerprint =
+        workloadFingerprint(workload->render.jobs, workload->bvh);
+    uint64_t digest = gpuConfigDigest(config);
+    ASSERT_TRUE(storeCachedResult(dir.path(), workload->id,
+                                  workload->profile, fingerprint, digest,
+                                  result, 1.5));
+
+    std::string data;
+    ASSERT_TRUE(readFile(resultCachePath(dir.path(), workload->id,
+                                         workload->profile, fingerprint,
+                                         digest),
+                         data));
+    EXPECT_EQ(fnv1a(data.data(), data.size()), 0x8da54d7c3d8dfc37ull);
 }
 
 TEST(ResultCache, MissingEntryIsQuietMiss)

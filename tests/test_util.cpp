@@ -411,5 +411,48 @@ TEST(ParallelFor, ThreadsClampedToChunksStillThrows)
     EXPECT_EQ(ran.load(), 31);
 }
 
+TEST(ParallelFor, HelperThreadsTakeOnlyIdleSlots)
+{
+    // Outside any parallel region the whole budget is free.
+    ASSERT_TRUE(tryClaimHelperThread(2));
+    ASSERT_TRUE(tryClaimHelperThread(2));
+    EXPECT_FALSE(tryClaimHelperThread(2));
+    releaseHelperThread();
+    releaseHelperThread();
+
+    // Four running workers hold all four slots of a budget of four, and
+    // a budget of five has one slot for one of them. Barriers keep every
+    // worker inside the region (and every claim held) until all tried.
+    std::atomic<int> started{0};
+    std::atomic<int> tried{0};
+    std::atomic<int> claimed_of_four{0};
+    std::atomic<int> claimed_of_five{0};
+    parallelFor(
+        4,
+        [&](size_t) {
+            ++started;
+            while (started.load() < 4) {
+            }
+            if (tryClaimHelperThread(4)) {
+                ++claimed_of_four;
+                releaseHelperThread();
+            }
+            bool mine = tryClaimHelperThread(5);
+            claimed_of_five += mine;
+            ++tried;
+            while (tried.load() < 4) {
+            }
+            if (mine)
+                releaseHelperThread();
+        },
+        4);
+    EXPECT_EQ(claimed_of_four.load(), 0);
+    EXPECT_EQ(claimed_of_five.load(), 1);
+
+    // Workers give their slots back when they exit.
+    EXPECT_TRUE(tryClaimHelperThread(1));
+    releaseHelperThread();
+}
+
 } // namespace
 } // namespace sms

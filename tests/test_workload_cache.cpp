@@ -22,6 +22,7 @@
 #include "src/stats/report.hpp"
 #include "src/trace/render.hpp"
 #include "src/sim/traversal_tape.hpp"
+#include "src/trace/cache_io.hpp"
 #include "src/trace/workload_cache.hpp"
 
 namespace sms {
@@ -88,6 +89,40 @@ simResultJson(const Workload &workload)
     SimResult result =
         runWorkload(workload, makeGpuConfig(StackConfig::sms()));
     return toJson(result).dump();
+}
+
+/** FNV-1a of a whole file's bytes (0 when unreadable). */
+uint64_t
+fileDigest(const std::string &path)
+{
+    std::string data;
+    return readFile(path, data) ? fnv1a(data.data(), data.size()) : 0;
+}
+
+TEST(WorkloadCache, FileBytesArePinned)
+{
+    // The snapshot and tape files of Tiny BUNNY, byte for byte: a change
+    // to the layout, the envelope or the prepared workload shows here.
+    TempCacheDir dir;
+    ScopedEnv env("SMS_WORKLOAD_CACHE", nullptr);
+    auto workload = prepareWorkload(SceneId::BUNNY, ScaleProfile::Tiny);
+    ASSERT_NE(workload, nullptr);
+    ASSERT_TRUE(saveWorkloadSnapshot(dir.path(), *workload,
+                                     workload->profile, workload->params));
+    TraversalTape tape;
+    SimOptions record;
+    record.record_tape = &tape;
+    runWorkload(*workload, makeGpuConfig(StackConfig::sms()), record);
+    ASSERT_TRUE(saveTraversalTape(dir.path(), *workload, tape));
+
+    EXPECT_EQ(fileDigest(workloadSnapshotPath(dir.path(), workload->id,
+                                              workload->profile,
+                                              workload->params)),
+              0x13fc945428060e7full);
+    EXPECT_EQ(fileDigest(traversalTapePath(dir.path(), workload->id,
+                                           workload->profile,
+                                           workload->params)),
+              0xe09f819299b55eb6ull);
 }
 
 TEST(WorkloadCache, DisabledWithoutEnv)
