@@ -12,6 +12,8 @@
 
 #include "bench/bench_util.hpp"
 #include "src/core/stack_config.hpp"
+#include "src/memory/shared_memory.hpp"
+#include "src/util/rng.hpp"
 
 using namespace sms;
 using namespace sms::benchutil;
@@ -70,18 +72,41 @@ runFig14(JsonReporter &reporter)
     reporter.finish();
 }
 
-/** Microbenchmark: the skew formula itself. */
+/**
+ * Layer benchmark: SharedMemory::conflictPasses over fixed SMS-shaped
+ * warp accesses (SH_8+SK stack file; each active lane reads one 8 B
+ * entry of its own or, when borrowing, another lane's segment).
+ */
 void
-BM_SkewBaseEntry(benchmark::State &state)
+BM_ConflictPasses(benchmark::State &state)
 {
-    uint32_t sink = 0;
-    for (auto _ : state) {
-        for (uint32_t tid = 0; tid < kWarpSize; ++tid)
-            sink += skewBaseEntry(tid, 8);
+    constexpr uint32_t kShEntries = 8;
+    constexpr uint32_t kSets = 256;
+    Pcg32 rng(14);
+    std::vector<std::vector<SharedLaneRequest>> sets(kSets);
+    for (std::vector<SharedLaneRequest> &lanes : sets) {
+        Addr warp_base = rng.nextBounded(8) * kWarpSize * kShEntries * 8;
+        for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+            if (rng.nextBounded(4) == 0)
+                continue; // inactive lane
+            uint32_t owner =
+                rng.nextBounded(8) == 0 ? rng.nextBounded(kWarpSize) : lane;
+            uint32_t slot = (skewBaseEntry(owner, kShEntries) +
+                             rng.nextBounded(kShEntries)) %
+                            kShEntries;
+            lanes.push_back(
+                {lane, warp_base + (owner * kShEntries + slot) * 8, 8});
+        }
     }
-    benchmark::DoNotOptimize(sink);
+    uint64_t passes = 0;
+    for (auto _ : state) {
+        for (const std::vector<SharedLaneRequest> &lanes : sets)
+            passes += SharedMemory::conflictPasses(lanes);
+    }
+    benchmark::DoNotOptimize(passes);
+    state.SetItemsProcessed(state.iterations() * kSets);
 }
-BENCHMARK(BM_SkewBaseEntry);
+BENCHMARK(BM_ConflictPasses)->MeasureProcessCPUTime();
 
 } // namespace
 

@@ -2,20 +2,23 @@
  * @file
  * Cache tag-model implementation.
  *
- * Replacement state is an intrusive doubly-linked recency list per set
- * plus a fill counter; see the header for the equivalence argument
- * against the timestamp formulation of true LRU.
+ * Replacement state is a recency-ordered line array per set
+ * (set-associative) or an intrusive doubly-linked recency list plus a
+ * fill counter (fully associative); see the header for the equivalence
+ * argument against the timestamp formulation of true LRU.
  *
  * Lookup is the simulator's single hottest function (one call per
  * modeled line access), so the fully-associative path uses a flat
  * linear-probe hash table with backward-shift deletion instead of
  * std::unordered_map, and set indexing is shift/mask whenever the
  * geometry allows. Neither changes any replacement decision: the hash
- * table is a pure tag->way accelerator and the recency lists remain
+ * table is a pure tag->way accelerator and the recency list remains
  * the only replacement state.
  */
 
 #include "src/memory/cache.hpp"
+
+#include <algorithm>
 
 #include "src/util/check.hpp"
 
@@ -54,8 +57,8 @@ nextPowerOfTwo(uint32_t v)
 
 Cache::Cache(const CacheConfig &config) : config_(config)
 {
-    SMS_ASSERT(config.line_bytes > 0 && isPowerOfTwo(config.line_bytes),
-               "line size must be a power of two");
+    SMS_ASSERT(config.line_bytes > 1 && isPowerOfTwo(config.line_bytes),
+               "line size must be a power of two above one byte");
     uint64_t total_lines = config.size_bytes / config.line_bytes;
     SMS_ASSERT(total_lines > 0, "cache smaller than one line");
 
@@ -77,21 +80,24 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     sets_pow2_ = isPowerOfTwo(num_sets_);
     set_mask_ = sets_pow2_ ? num_sets_ - 1 : 0;
 
-    size_t total = static_cast<size_t>(num_sets_) * num_ways_;
-    tags_.assign(total, kEmptyTag);
-    links_.assign(total, kNoLinks);
-    dirty_.assign((total + 63) / 64, 0);
-    sets_.resize(num_sets_);
-    use_tag_index_ = num_sets_ == 1;
-    if (use_tag_index_) {
-        // 4x ways keeps the load factor under 1/4: probe runs on the
-        // hit path stay near one slot and the backward-shift walks on
-        // eviction stay short, for 12 B per way of extra table.
-        uint32_t capacity = nextPowerOfTwo(num_ways_ * 4);
-        tag_keys_.assign(capacity, kEmptyTag);
-        tag_vals_.assign(capacity, 0);
-        tag_mask_ = capacity - 1;
+    if (num_sets_ > 1) {
+        set_lines_.assign(static_cast<size_t>(num_sets_) * num_ways_, 0);
+        set_filled_.assign(num_sets_, 0);
+        return;
     }
+    tags_.assign(num_ways_, kEmptyTag);
+    links_.assign(num_ways_, kNoLinks);
+    dirty_.assign((num_ways_ + 63) / 64, 0);
+    // 4x ways keeps the load factor under 1/4: probe runs on the hit
+    // path stay near one slot and the backward-shift walks on eviction
+    // stay short, for 8 B per slot of extra table.
+    uint32_t capacity = nextPowerOfTwo(num_ways_ * 4);
+    tag_slots_.assign(capacity, 0);
+    while ((uint64_t{1} << way_bits_) < num_ways_)
+        ++way_bits_;
+    max_line_index_ = ~uint64_t{0} >> way_bits_;
+    tag_mask_ = capacity - 1;
+    tag_shift_ = 64 - log2OfPowerOfTwo(capacity);
 }
 
 uint32_t
@@ -103,59 +109,44 @@ Cache::setIndex(Addr line_addr) const
     return static_cast<uint32_t>(line_index % num_sets_);
 }
 
-uint64_t
-Cache::hashTag(Addr line_addr)
+uint32_t
+Cache::tagHome(uint64_t line_index) const
 {
-    // splitmix64 finalizer over the line address: cheap, and strong
-    // enough that power-of-two-strided address streams (line-aligned
-    // buffers) don't cluster in the power-of-two-sized table.
-    uint64_t x = line_addr;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
+    // Fibonacci hashing of the line index: the top bits of the product
+    // mix every input bit, so power-of-two-strided streams (spill
+    // frames, line-aligned buffers) spread over the power-of-two table.
+    return static_cast<uint32_t>((line_index * 0x9e3779b97f4a7c15ull) >>
+                                 tag_shift_);
 }
 
 uint32_t
-Cache::tagSlotOf(Addr line_addr) const
+Cache::tagSlotOf(uint64_t line_index, uint32_t home) const
 {
-    uint32_t slot = static_cast<uint32_t>(hashTag(line_addr)) & tag_mask_;
-    while (tag_keys_[slot] != line_addr && tag_keys_[slot] != kEmptyTag)
+    uint64_t tag = (line_index + 1) << way_bits_;
+    uint64_t way_mask = (uint64_t{1} << way_bits_) - 1;
+    uint32_t slot = home;
+    while (tag_slots_[slot] != 0 && (tag_slots_[slot] & ~way_mask) != tag)
         slot = (slot + 1) & tag_mask_;
     return slot;
 }
 
 void
-Cache::tagInsert(Addr line_addr, uint32_t line_index)
+Cache::tagErase(uint32_t slot)
 {
-    uint32_t slot = tagSlotOf(line_addr);
-    tag_keys_[slot] = line_addr;
-    tag_vals_[slot] = line_index;
-}
-
-void
-Cache::tagErase(Addr line_addr)
-{
-    uint32_t slot = tagSlotOf(line_addr);
-    if (tag_keys_[slot] == kEmptyTag)
-        return;
     // Backward-shift deletion: walk the probe run after the freed slot
     // and pull back any entry whose home position precedes the hole, so
     // later lookups never hit a spurious empty slot mid-run.
     uint32_t hole = slot;
-    tag_keys_[hole] = kEmptyTag;
+    tag_slots_[hole] = 0;
     uint32_t cur = (slot + 1) & tag_mask_;
-    while (tag_keys_[cur] != kEmptyTag) {
-        uint32_t home =
-            static_cast<uint32_t>(hashTag(tag_keys_[cur])) & tag_mask_;
+    while (tag_slots_[cur] != 0) {
+        uint64_t entry = tag_slots_[cur];
+        uint32_t home = tagHome((entry >> way_bits_) - 1);
         // Move cur into the hole iff the hole lies within cur's probe
         // path, i.e. the cyclic distance home->cur covers home->hole.
         if (((cur - home) & tag_mask_) >= ((cur - hole) & tag_mask_)) {
-            tag_keys_[hole] = tag_keys_[cur];
-            tag_vals_[hole] = tag_vals_[cur];
-            tag_keys_[cur] = kEmptyTag;
+            tag_slots_[hole] = entry;
+            tag_slots_[cur] = 0;
             hole = cur;
         }
         cur = (cur + 1) & tag_mask_;
@@ -163,61 +154,129 @@ Cache::tagErase(Addr line_addr)
 }
 
 uint32_t
-Cache::findLine(uint32_t set, Addr line_addr) const
+Cache::scanSet(uint32_t set, Addr line_addr) const
 {
-    if (use_tag_index_) {
-        uint32_t slot = tagSlotOf(line_addr);
-        return tag_keys_[slot] == kEmptyTag ? kNoWay : tag_vals_[slot];
+    const Addr *lines = &set_lines_[static_cast<size_t>(set) * num_ways_];
+    uint32_t filled = set_filled_[set];
+    uint32_t pos = 0;
+    while (pos < filled && (lines[pos] & ~kDirtyBit) != line_addr)
+        ++pos;
+    return pos;
+}
+
+bool
+Cache::accessSet(uint32_t set, Addr line_addr, bool write, bool allocate,
+                 Result &result)
+{
+    Addr *lines = &set_lines_[static_cast<size_t>(set) * num_ways_];
+    uint32_t filled = set_filled_[set];
+    uint32_t pos = scanSet(set, line_addr);
+    if (pos < filled) {
+        // Hit: rotate the line to the front, keeping its dirty flag.
+        Addr entry = lines[pos] | (write ? kDirtyBit : 0);
+        std::copy_backward(lines, lines + pos, lines + pos + 1);
+        lines[0] = entry;
+        return true;
     }
-    // Ways fill in ascending order and are never invalidated outside
-    // reset(), so every way below valid_ways holds a live tag: the scan
-    // covers at most two host cache lines of the flat tag array.
-    uint32_t base = set * num_ways_;
-    uint32_t filled = sets_[set].valid_ways;
-    for (uint32_t w = 0; w < filled; ++w) {
-        if (tags_[base + w] == line_addr)
-            return base + w;
+    if (!allocate)
+        return false;
+    if (filled < num_ways_) {
+        set_filled_[set] = ++filled;
+    } else if (lines[filled - 1] & kDirtyBit) {
+        // The LRU line at the back falls off.
+        result.evicted_dirty = true;
+        result.evicted_line = lines[filled - 1] & ~kDirtyBit;
     }
-    return kNoWay;
+    std::copy_backward(lines, lines + filled - 1, lines + filled);
+    lines[0] = line_addr | (write ? kDirtyBit : 0);
+    return false;
 }
 
 // Recency links are packed (more_recent << 32) | less_recent.
 
 void
-Cache::unlink(SetState &set, uint32_t line_index)
+Cache::unlink(uint32_t way)
 {
-    uint64_t links = links_[line_index];
+    uint64_t links = links_[way];
     uint32_t more = static_cast<uint32_t>(links >> 32);
     uint32_t less = static_cast<uint32_t>(links);
     if (more != kNoWay)
         links_[more] = (links_[more] & 0xffffffff00000000ull) | less;
     else
-        set.mru = less;
+        mru_ = less;
     if (less != kNoWay)
         links_[less] = (links_[less] & 0xffffffffull) |
                        (static_cast<uint64_t>(more) << 32);
     else
-        set.lru = more;
-    links_[line_index] = kNoLinks;
+        lru_ = more;
+    links_[way] = kNoLinks;
 }
 
 void
-Cache::touchFront(SetState &set, uint32_t line_index)
+Cache::touchFront(uint32_t way)
 {
-    if (set.mru == line_index)
+    if (mru_ == way)
         return;
-    // A line that is linked but not the head always has a more-recent
-    // neighbour; a freshly-filled line (both links kNoWay) must not
-    // be unlinked or it would clobber the list head.
-    if (static_cast<uint32_t>(links_[line_index] >> 32) != kNoWay)
-        unlink(set, line_index);
-    links_[line_index] = (static_cast<uint64_t>(kNoWay) << 32) | set.mru;
-    if (set.mru != kNoWay)
-        links_[set.mru] = (links_[set.mru] & 0xffffffffull) |
-                          (static_cast<uint64_t>(line_index) << 32);
-    set.mru = line_index;
-    if (set.lru == kNoWay)
-        set.lru = line_index;
+    // A way that is linked but not the head always has a more-recent
+    // neighbour; a freshly-filled way (both links kNoWay) must not be
+    // unlinked or it would clobber the list head.
+    if (static_cast<uint32_t>(links_[way] >> 32) != kNoWay)
+        unlink(way);
+    links_[way] = (static_cast<uint64_t>(kNoWay) << 32) | mru_;
+    if (mru_ != kNoWay)
+        links_[mru_] = (links_[mru_] & 0xffffffffull) |
+                       (static_cast<uint64_t>(way) << 32);
+    mru_ = way;
+    if (lru_ == kNoWay)
+        lru_ = way;
+}
+
+bool
+Cache::accessFull(Addr line_addr, bool write, bool allocate,
+                  Result &result)
+{
+    // A miss's probe stops at the free slot the new tag will take.
+    uint64_t line_index = line_addr >> line_shift_;
+    SMS_ASSERT(line_index < max_line_index_,
+               "line 0x%llx beyond the tag index",
+               static_cast<unsigned long long>(line_addr));
+    uint32_t slot = tagSlotOf(line_index, tagHome(line_index));
+    if (tag_slots_[slot] != 0) {
+        uint32_t way = static_cast<uint32_t>(tag_slots_[slot]) &
+                       ((1u << way_bits_) - 1);
+        touchFront(way);
+        if (write)
+            setDirty(way, true);
+        return true;
+    }
+    if (!allocate)
+        return false;
+
+    uint32_t way;
+    if (filled_ < num_ways_) {
+        // Free ways are consumed in ascending order (matching the
+        // "first invalid way" rule of the timestamp scan).
+        way = filled_++;
+    } else {
+        way = lru_;
+        SMS_ASSERT(way != kNoWay, "full cache with empty LRU list");
+        if (isDirty(way)) {
+            result.evicted_dirty = true;
+            result.evicted_line = tags_[way];
+        }
+    }
+    // Insert before erasing the victim: the backward shift then treats
+    // the new entry like any other, so it can take the free slot the
+    // lookup stopped at without a second probe.
+    tag_slots_[slot] = ((line_index + 1) << way_bits_) | way;
+    if (tags_[way] != kEmptyTag) {
+        uint64_t victim_index = tags_[way] >> line_shift_;
+        tagErase(tagSlotOf(victim_index, tagHome(victim_index)));
+    }
+    tags_[way] = line_addr;
+    setDirty(way, write);
+    touchFront(way);
+    return false;
 }
 
 Cache::Result
@@ -232,70 +291,48 @@ Cache::access(Addr line_addr, bool write, TrafficClass cls)
     else
         ++stats_.loads;
 
-    uint32_t set_idx = setIndex(line_addr);
-    SetState &set = sets_[set_idx];
-
-    // Hit path.
-    uint32_t found = findLine(set_idx, line_addr);
-    if (found != kNoWay) {
-        touchFront(set, found);
-        if (write)
-            setDirty(found, true);
-        result.hit = true;
-        return result;
-    }
-
-    if (write)
-        ++stats_.store_misses;
-    else
-        ++stats_.load_misses;
-    ++class_misses_[static_cast<int>(cls)];
-
     // No-write-allocate caches write around on store misses.
-    if (write && !config_.allocate_on_store)
-        return result;
-
-    uint32_t victim_index;
-    if (set.valid_ways < num_ways_) {
-        // Invalid ways are consumed in ascending way order (matching
-        // the "first invalid way" rule of the timestamp scan).
-        victim_index = set_idx * num_ways_ + set.valid_ways;
-        ++set.valid_ways;
-    } else {
-        victim_index = set.lru;
-        SMS_ASSERT(victim_index != kNoWay, "full set with empty LRU list");
-        if (isDirty(victim_index)) {
-            result.evicted_dirty = true;
-            result.evicted_line = tags_[victim_index];
-            ++stats_.writebacks;
-        }
-        if (use_tag_index_)
-            tagErase(tags_[victim_index]);
+    bool allocate = !write || config_.allocate_on_store;
+    result.hit = num_sets_ == 1
+                     ? accessFull(line_addr, write, allocate, result)
+                     : accessSet(setIndex(line_addr), line_addr, write,
+                                 allocate, result);
+    if (!result.hit) {
+        if (write)
+            ++stats_.store_misses;
+        else
+            ++stats_.load_misses;
+        ++class_misses_[static_cast<int>(cls)];
     }
-    tags_[victim_index] = line_addr;
-    setDirty(victim_index, write);
-    touchFront(set, victim_index);
-    if (use_tag_index_)
-        tagInsert(line_addr, victim_index);
+    if (result.evicted_dirty)
+        ++stats_.writebacks;
     return result;
 }
 
 bool
 Cache::probe(Addr line_addr) const
 {
-    return findLine(setIndex(line_addr), line_addr) != kNoWay;
+    if (num_sets_ == 1)
+    {
+        uint64_t line_index = line_addr >> line_shift_;
+        return line_index < max_line_index_ &&
+               tag_slots_[tagSlotOf(line_index, tagHome(line_index))] != 0;
+    }
+    uint32_t set = setIndex(line_addr);
+    return scanSet(set, line_addr) < set_filled_[set];
 }
 
 void
 Cache::reset()
 {
-    for (SetState &set : sets_)
-        set = SetState();
-    tags_.assign(tags_.size(), kEmptyTag);
-    links_.assign(links_.size(), kNoLinks);
-    dirty_.assign(dirty_.size(), 0);
-    if (use_tag_index_)
-        tag_keys_.assign(tag_keys_.size(), kEmptyTag);
+    std::fill(set_filled_.begin(), set_filled_.end(), 0);
+    std::fill(tags_.begin(), tags_.end(), kEmptyTag);
+    std::fill(links_.begin(), links_.end(), kNoLinks);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    std::fill(tag_slots_.begin(), tag_slots_.end(), 0);
+    mru_ = kNoWay;
+    lru_ = kNoWay;
+    filled_ = 0;
 }
 
 } // namespace sms

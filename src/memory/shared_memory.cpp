@@ -6,7 +6,7 @@
 #include "src/memory/shared_memory.hpp"
 
 #include <algorithm>
-#include <array>
+#include <iterator>
 
 #include "src/stats/timeline.hpp"
 #include "src/util/check.hpp"
@@ -23,24 +23,41 @@ SharedMemory::conflictPasses(const std::vector<SharedLaneRequest> &lanes)
     // adjacent 4 B words (two banks). Lanes accessing the *same* word
     // broadcast and cost nothing extra; different words in the same
     // bank serialize.
-    std::array<std::vector<Addr>, kSharedBanks> words;
+    //
+    // One warp touches at most a few hundred words, so the distinct
+    // words of each bank are chained through fixed on-stack arrays: a
+    // word is looked up in its bank's chain (a handful of entries on
+    // real stack traffic) and appended when new.
+    constexpr uint16_t kNil = 0xffff;
+    static_assert(kMaxSharedAccessWords < kNil);
+    uint16_t head[kSharedBanks];
+    uint16_t distinct[kSharedBanks] = {};
+    uint16_t next[kMaxSharedAccessWords];
+    Addr rows[kMaxSharedAccessWords];
+    std::fill(std::begin(head), std::end(head), kNil);
+    uint16_t count = 0;
+    uint32_t passes = 1;
     for (const SharedLaneRequest &req : lanes) {
         SMS_ASSERT(req.bytes % kBankWordBytes == 0,
                    "shared request must be word-aligned in size");
+        SMS_ASSERT(req.bytes / kBankWordBytes <=
+                       kMaxSharedAccessWords - count,
+                   "shared access touches more than %u distinct words",
+                   kMaxSharedAccessWords);
         for (uint32_t off = 0; off < req.bytes; off += kBankWordBytes) {
             Addr word = (req.addr + off) / kBankWordBytes;
             uint32_t bank = static_cast<uint32_t>(word % kSharedBanks);
-            words[bank].push_back(word);
+            Addr row = word / kSharedBanks;
+            uint16_t i = head[bank];
+            while (i != kNil && rows[i] != row)
+                i = next[i];
+            if (i != kNil)
+                continue; // broadcast: this word is already counted
+            rows[count] = row;
+            next[count] = head[bank];
+            head[bank] = count++;
+            passes = std::max<uint32_t>(passes, ++distinct[bank]);
         }
-    }
-
-    uint32_t passes = 1;
-    for (auto &bank_words : words) {
-        std::sort(bank_words.begin(), bank_words.end());
-        auto end = std::unique(bank_words.begin(), bank_words.end());
-        uint32_t distinct =
-            static_cast<uint32_t>(end - bank_words.begin());
-        passes = std::max(passes, distinct);
     }
     return passes;
 }

@@ -24,6 +24,12 @@ namespace sms {
 constexpr uint32_t kSharedBanks = 32;
 /** Bank word width in bytes. */
 constexpr uint32_t kBankWordBytes = 4;
+/**
+ * Most distinct words one warp-level access may touch: 32 lanes of
+ * 32 B. The stack model issues at most one 8 B entry per lane (64
+ * words), so the bound only binds on hand-built requests.
+ */
+constexpr uint32_t kMaxSharedAccessWords = 32 * 32 / kBankWordBytes;
 
 /** Bank index of a shared-memory byte address. */
 constexpr uint32_t
@@ -85,6 +91,9 @@ class SharedMemory
      *
      * @return number of passes required (>= 1 for a non-empty access);
      *         passes - 1 is the conflict delay
+     *
+     * The access may touch at most kMaxSharedAccessWords distinct
+     * words.
      */
     static uint32_t
     conflictPasses(const std::vector<SharedLaneRequest> &lanes);

@@ -10,7 +10,10 @@
 
 #include "src/memory/cache.hpp"
 #include "src/memory/dram.hpp"
+#include "src/memory/memory_system.hpp"
 #include "src/memory/request.hpp"
+#include "src/sim/gpu_config.hpp"
+#include "src/trace/render.hpp"
 #include "src/util/rng.hpp"
 
 namespace sms {
@@ -95,27 +98,141 @@ class ReferenceCache
     uint64_t clock_ = 0;
 };
 
+/** One access of a differential stream. */
+struct StreamAccess
+{
+    Addr line;
+    bool write;
+};
+
+/** Replay @p stream through Cache and ReferenceCache in lock-step. */
 void
-crossCheck(const CacheConfig &config, uint32_t accesses, Addr addr_lines,
-           uint64_t seed)
+crossCheckStream(const CacheConfig &config,
+                 const std::vector<StreamAccess> &stream)
 {
     Cache cache(config);
     ReferenceCache ref(config);
-    Pcg32 rng(seed);
-    for (uint32_t i = 0; i < accesses; ++i) {
-        Addr addr = static_cast<Addr>(rng.nextU32() % addr_lines) *
-                    config.line_bytes;
-        bool write = rng.nextU32() % 4 == 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        const StreamAccess &a = stream[i];
         Cache::Result got =
-            cache.access(addr, write, TrafficClass::Node);
-        Cache::Result want = ref.access(addr, write);
-        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+            cache.access(a.line, a.write, TrafficClass::Node);
+        Cache::Result want = ref.access(a.line, a.write);
+        ASSERT_EQ(got.hit, want.hit)
+            << "access " << i << " line 0x" << std::hex << a.line;
         ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "access " << i;
         if (want.evicted_dirty) {
             ASSERT_EQ(got.evicted_line, want.evicted_line)
                 << "access " << i;
         }
+        ASSERT_EQ(cache.probe(a.line), got.hit || !a.write ||
+                                           config.allocate_on_store)
+            << "access " << i;
     }
+}
+
+void
+crossCheck(const CacheConfig &config, uint32_t accesses, Addr addr_lines,
+           uint64_t seed)
+{
+    Pcg32 rng(seed);
+    std::vector<StreamAccess> stream(accesses);
+    for (StreamAccess &a : stream) {
+        a.line = static_cast<Addr>(rng.nextU32() % addr_lines) *
+                 config.line_bytes;
+        a.write = rng.nextU32() % 4 == 0;
+    }
+    crossCheckStream(config, stream);
+}
+
+/**
+ * A stream shaped like the simulator's: skewed BVH node reads, triangle,
+ * sphere and predictor-table lines, local-spill loads and stores over
+ * 64 KB frames, and bursts walking power-of-two line strides — all in
+ * the simulator's address regions.
+ */
+std::vector<StreamAccess>
+simulatorStream(uint32_t accesses, uint64_t seed)
+{
+    constexpr Addr kNodeBase = 0x10000000ull;
+    constexpr Addr kTriBase = 0x40000000ull;
+    constexpr Addr kSphereBase = 0x50000000ull;
+    constexpr Addr kPredictorBase = 0x60000000ull;
+    constexpr Addr kSpillBase = 0x100000000ull;
+    constexpr Addr kSpillFrame = 0x10000ull;
+    Pcg32 rng(seed);
+    std::vector<StreamAccess> stream;
+    stream.reserve(accesses);
+    while (stream.size() < accesses) {
+        uint32_t kind = rng.nextBounded(16);
+        if (kind < 6) {
+            uint32_t node = rng.nextBounded(4) != 0 ? rng.nextBounded(600)
+                                                    : rng.nextBounded(30000);
+            stream.push_back({kNodeBase + Addr{node} * kLine,
+                              rng.nextBounded(64) == 0});
+        } else if (kind < 8) {
+            stream.push_back(
+                {kTriBase + Addr{rng.nextBounded(20000)} * kLine, false});
+        } else if (kind < 9) {
+            stream.push_back(
+                {kSphereBase + Addr{rng.nextBounded(3000)} * kLine, false});
+        } else if (kind < 10) {
+            stream.push_back(
+                {kPredictorBase + Addr{rng.nextBounded(2048)} * kLine,
+                 rng.nextBounded(2) == 0});
+        } else if (kind < 14) {
+            // Spill frames of the resident jobs recycle mod 8192.
+            Addr frame = rng.nextBounded(4) == 0 ? rng.nextBounded(8192)
+                                                 : rng.nextBounded(32);
+            Addr slot_line = rng.nextBounded(24);
+            stream.push_back({kSpillBase + frame * kSpillFrame +
+                                  slot_line * kLine,
+                              rng.nextBounded(2) == 0});
+        } else {
+            // A burst of 8-64 lines at a power-of-two stride, starting
+            // in one of the regions.
+            const Addr bases[] = {kNodeBase, kTriBase, kSpillBase};
+            Addr base = bases[rng.nextBounded(3)];
+            Addr stride = kLine << rng.nextBounded(13);
+            uint32_t burst = 8 + rng.nextBounded(57);
+            bool write = base == kSpillBase && rng.nextBounded(2) == 0;
+            for (uint32_t i = 0; i < burst && stream.size() < accesses;
+                 ++i)
+                stream.push_back({base + i * stride, write});
+        }
+    }
+    return stream;
+}
+
+/** The L1 and L2 geometries every replay_sweep column builds. */
+std::vector<CacheConfig>
+replaySweepGeometries()
+{
+    std::vector<GpuConfig> configs;
+    for (uint32_t rb : {2u, 4u, 8u, 16u, 32u})
+        configs.push_back(makeGpuConfig(StackConfig::baseline(rb)));
+    configs.push_back(makeGpuConfig(StackConfig::rbFull()));
+    for (uint32_t sh : {4u, 8u, 16u})
+        configs.push_back(makeGpuConfig(StackConfig::withSh(8, sh)));
+    configs.push_back(makeGpuConfig(StackConfig::withSh(8, 8, true, false)));
+    for (uint32_t rb : {2u, 4u, 8u, 16u})
+        configs.push_back(makeGpuConfig(StackConfig::sms(rb, 8)));
+    for (uint64_t kb : {16u, 32u, 128u, 256u})
+        configs.push_back(
+            makeGpuConfig(StackConfig::baseline(8), kb * 1024));
+    std::vector<CacheConfig> geometries;
+    auto add = [&](const CacheConfig &c) {
+        for (const CacheConfig &g : geometries)
+            if (g.size_bytes == c.size_bytes && g.ways == c.ways &&
+                g.allocate_on_store == c.allocate_on_store)
+                return;
+        geometries.push_back(c);
+    };
+    for (const GpuConfig &config : configs) {
+        MemoryHierarchyConfig mem = config.resolvedMemConfig();
+        add(mem.l1);
+        add(mem.l2);
+    }
+    return geometries;
 }
 
 TEST(Cache, RecencyListMatchesTimestampLruFullyAssociative)
@@ -133,6 +250,50 @@ TEST(Cache, RecencyListMatchesTimestampLruSetAssociative)
                3);
     // Tiny 2-way cache: maximal eviction churn.
     crossCheck({4 * kLineBytes, 2, kLineBytes, true}, 20000, 13, 4);
+}
+
+TEST(Cache, SimulatorStreamsMatchTimestampLruOnReplaySweepGeometries)
+{
+    std::vector<CacheConfig> geometries = replaySweepGeometries();
+    bool has_448_ways = false;
+    for (size_t g = 0; g < geometries.size(); ++g) {
+        const CacheConfig &config = geometries[g];
+        if (Cache(config).numWays() == 448)
+            has_448_ways = true;
+        SCOPED_TRACE(testing::Message()
+                     << config.size_bytes << " B, " << config.ways
+                     << " ways, allocate_on_store "
+                     << config.allocate_on_store);
+        crossCheckStream(config, simulatorStream(40000, 100 + g));
+        // The same geometry with the other store policy.
+        CacheConfig flipped = config;
+        flipped.allocate_on_store = !config.allocate_on_store;
+        crossCheckStream(flipped, simulatorStream(20000, 200 + g));
+    }
+    // RB_8+SH_8 carves 8 KB of stacks out of the 64 KB array, leaving a
+    // 56 KB L1 whose way count is not a power of two.
+    EXPECT_TRUE(has_448_ways);
+    EXPECT_GE(geometries.size(), 6u);
+}
+
+TEST(Cache, PowerOfTwoStridesMatchTimestampLru)
+{
+    // Walks that alias in a power-of-two-indexed structure: every
+    // stride from one line to 4096 lines, over more lines than any of
+    // the caches holds, then revisited.
+    for (CacheConfig config : {CacheConfig{64 * 1024, 0, kLineBytes, false},
+                               CacheConfig{56 * 1024, 0, kLineBytes, true},
+                               CacheConfig{384 * 1024, 16, kLineBytes, true},
+                               CacheConfig{64 * 1024, 8, kLineBytes, true}}) {
+        std::vector<StreamAccess> stream;
+        for (uint32_t shift = 0; shift <= 12; ++shift)
+            for (uint32_t pass = 0; pass < 2; ++pass)
+                for (uint32_t i = 0; i < 1024; ++i)
+                    stream.push_back(
+                        {0x100000000ull + (Addr{i} * kLine << shift),
+                         (i + pass) % 3 == 0});
+        crossCheckStream(config, stream);
+    }
 }
 
 TEST(LineMath, AlignAndCover)

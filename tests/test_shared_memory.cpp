@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "src/core/stack_config.hpp"
 #include "src/memory/shared_memory.hpp"
+#include "src/util/rng.hpp"
 
 namespace sms {
 namespace {
@@ -127,6 +132,78 @@ TEST(ConflictPasses, WideRequestSpansManyBanks)
     // Two lanes, same 64 B, different rows -> 2 passes.
     std::vector<SharedLaneRequest> lanes{{0, 0, 64}, {1, 128, 64}};
     EXPECT_EQ(SharedMemory::conflictPasses(lanes), 2u);
+}
+
+/** Brute-force pass count: the largest per-bank set of distinct words. */
+uint32_t
+referencePasses(const std::vector<SharedLaneRequest> &lanes)
+{
+    if (lanes.empty())
+        return 0;
+    std::set<Addr> words[kSharedBanks];
+    for (const SharedLaneRequest &req : lanes)
+        for (uint32_t off = 0; off < req.bytes; off += kBankWordBytes)
+            words[sharedBankOf(req.addr + off)].insert(
+                (req.addr + off) / kBankWordBytes);
+    size_t passes = 1;
+    for (const std::set<Addr> &bank : words)
+        passes = std::max(passes, bank.size());
+    return static_cast<uint32_t>(passes);
+}
+
+TEST(ConflictPasses, MatchesPerBankSetReference)
+{
+    // Random warps of 1-32 lanes issuing 4-32 B requests: some lanes
+    // repeat an earlier lane's address (broadcast), and starts are
+    // word-aligned anywhere in a 128 B bank row, so wide requests wrap
+    // from bank 31 to bank 0.
+    Pcg32 rng(2025);
+    for (uint32_t trial = 0; trial < 20000; ++trial) {
+        uint32_t num_lanes = 1 + rng.nextBounded(32);
+        uint32_t rows = 1 + rng.nextBounded(64);
+        std::vector<SharedLaneRequest> lanes;
+        for (uint32_t lane = 0; lane < num_lanes; ++lane) {
+            uint32_t bytes = kBankWordBytes * (1 + rng.nextBounded(8));
+            Addr addr =
+                Addr{rng.nextBounded(rows * kSharedBanks)} * kBankWordBytes;
+            if (!lanes.empty() && rng.nextBounded(4) == 0) {
+                const SharedLaneRequest &prev =
+                    lanes[rng.nextBounded(static_cast<uint32_t>(
+                        lanes.size()))];
+                addr = prev.addr;
+                bytes = prev.bytes;
+            }
+            lanes.push_back({lane, addr, bytes});
+        }
+        ASSERT_EQ(SharedMemory::conflictPasses(lanes),
+                  referencePasses(lanes))
+            << "trial " << trial;
+    }
+}
+
+TEST(ConflictPasses, LargestAccessFitsTheBuffer)
+{
+    // 32 lanes of 32 B fill the kMaxSharedAccessWords buffer exactly.
+    // Lane t reads row t: every bank sees 32 distinct words.
+    std::vector<SharedLaneRequest> rows, same;
+    for (uint32_t t = 0; t < 32; ++t) {
+        rows.push_back({t, static_cast<Addr>(t) * 128, 32});
+        same.push_back({t, 96, 32});
+    }
+    ASSERT_EQ(32u * 32u / kBankWordBytes, kMaxSharedAccessWords);
+    EXPECT_EQ(SharedMemory::conflictPasses(rows), 32u);
+    EXPECT_EQ(SharedMemory::conflictPasses(rows), referencePasses(rows));
+    // The same words from every lane broadcast.
+    EXPECT_EQ(SharedMemory::conflictPasses(same), 1u);
+}
+
+TEST(ConflictPassesDeathTest, OversizedAccessAsserts)
+{
+    std::vector<SharedLaneRequest> lanes;
+    for (uint32_t t = 0; t < 33; ++t)
+        lanes.push_back({t, static_cast<Addr>(t) * 128, 32});
+    EXPECT_DEATH(SharedMemory::conflictPasses(lanes),
+                 "more than 256 distinct words");
 }
 
 TEST(SharedMemory, AccessLatencyAndStats)
